@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // captureStderr runs fn with os.Stderr redirected to a pipe and
@@ -68,6 +70,41 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(out, "corrupt or truncated") || !strings.Contains(out, "delete it and re-verify") {
 		t.Fatalf("missing clean re-verify hint, stderr:\n%s", out)
+	}
+}
+
+// TestResumeRejectsStaleRunState: a checkpoint whose run state carries
+// the version-1 magic holds keys from an older key function, so resuming
+// it would mix two key spaces. It must exit 2 with a re-verify hint.
+func TestResumeRejectsStaleRunState(t *testing.T) {
+	cp := filepath.Join(t.TempDir(), "v1.ckpt")
+	if code := run(cappedRunArgs(cp)); code != 3 {
+		t.Fatalf("capped run exit = %d, want 3 (inconclusive)", code)
+	}
+	data, err := os.ReadFile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := engine.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(c.State, "MCARS1\n")
+	if data, err = engine.EncodeCheckpoint(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var code int
+	out := captureStderr(t, func() {
+		code = run([]string{"-resume", cp, "-maxstates", "500000", "-trace=false"})
+	})
+	if code != 2 {
+		t.Fatalf("stale resume exit = %d, want 2", code)
+	}
+	if !strings.Contains(out, "older explorer version") || !strings.Contains(out, "re-verify") {
+		t.Fatalf("missing stale-version re-verify hint, stderr:\n%s", out)
 	}
 }
 

@@ -214,7 +214,9 @@ func runResume(ctx context.Context, o resumeOptions) int {
 	cp, err := engine.DecodeCheckpoint(data)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, engine.ErrCorruptCheckpoint) {
+		if errors.Is(err, explore.ErrStaleRunState) {
+			fmt.Fprintf(os.Stderr, "mcacheck: checkpoint %s was written by an older explorer version; delete it and re-verify from scratch (run without -resume)\n", o.path)
+		} else if errors.Is(err, engine.ErrCorruptCheckpoint) {
 			fmt.Fprintf(os.Stderr, "mcacheck: checkpoint %s is corrupt or truncated; delete it and re-verify from scratch (run without -resume)\n", o.path)
 		}
 		return 2

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,7 +290,14 @@ func TestSweepEndpointStreamsNDJSON(t *testing.T) {
 // conclusive cell to come back as a cache hit.
 func TestSweepWarmPassIsCached(t *testing.T) {
 	srv, _ := testServer(t)
-	postJSON(t, srv.URL+"/sweep", sweepRequest).Body.Close()
+	// Drain the cold pass before closing it: a close that lands
+	// mid-stream cancels the cells still running, and their inconclusive
+	// results are (correctly) not cached.
+	cold := postJSON(t, srv.URL+"/sweep", sweepRequest)
+	if _, err := io.Copy(io.Discard, cold.Body); err != nil {
+		t.Fatal(err)
+	}
+	cold.Body.Close()
 	resp := postJSON(t, srv.URL+"/sweep", sweepRequest)
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {

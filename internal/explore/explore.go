@@ -286,7 +286,7 @@ func (c *checker) dfs(depth, changes int) bool {
 		c.cancelled = true
 		return true // cancelled; inconclusive
 	}
-	key := c.canonKey()
+	key := c.keys.key(c.agents, c.net)
 	if first, cyc := c.onPath[key]; cyc {
 		if changes > first.changes {
 			// The protocol did real work and still returned to an earlier
@@ -308,11 +308,11 @@ func (c *checker) dfs(depth, changes int) bool {
 		// surviving pairwise disagreement would still have a message in
 		// flight, so a quiescent state must satisfy the consensus
 		// predicate and be conflict-free.
-		if !c.agreement() {
+		if !agreementOf(c.agents) {
 			c.fail(ViolationDisagreement, "quiescent without agreement")
 			return true
 		}
-		if !c.conflictFree() {
+		if !conflictFreeOf(c.agents) {
 			c.fail(ViolationConflict, "agreement reached but bundles conflict")
 			return true
 		}
@@ -323,7 +323,7 @@ func (c *checker) dfs(depth, changes int) bool {
 		c.fail(ViolationBoundExceeded, fmt.Sprintf("still active after %d deliveries (hard limit)", depth))
 		return true
 	}
-	if changes >= c.opts.Bound && !c.agreement() {
+	if changes >= c.opts.Bound && !agreementOf(c.agents) {
 		// The paper's consensus assertion: after the val message budget,
 		// max-consensus must hold.
 		c.fail(ViolationBoundExceeded, fmt.Sprintf("no consensus after %d effective deliveries (bound)", changes))
@@ -357,6 +357,7 @@ func (c *checker) dfs(depth, changes int) bool {
 			c.net.Capture(snap, c.edgeBuf...)
 			receiver := c.agents[e.To]
 			receiver.SaveStateInto(&c.saveStack[depth])
+			recvHash := c.keys.digest(int(e.To), receiver)
 			didChange := applyDelivery(c.agents, c.net, e, consume)
 			c.path = append(c.path, stepRec{edge: e, consume: consume})
 			nextChanges := changes
@@ -367,6 +368,7 @@ func (c *checker) dfs(depth, changes int) bool {
 			c.path = c.path[:len(c.path)-1]
 			c.net.Rollback(snap)
 			receiver.RestoreState(c.saveStack[depth])
+			c.keys.restoreDigest(int(e.To), receiver, recvHash)
 			if stop {
 				return true
 			}
@@ -442,10 +444,6 @@ func conflictFreeOf(agents []*mca.Agent) bool {
 	return true
 }
 
-func (c *checker) agreement() bool { return agreementOf(c.agents) }
-
-func (c *checker) conflictFree() bool { return conflictFreeOf(c.agents) }
-
 func (c *checker) fail(kind ViolationKind, label string) {
 	if c.verdict.Violation != ViolationNone {
 		return // keep the first counterexample
@@ -473,15 +471,4 @@ func agentSnapshots(agents []*mca.Agent) []trace.AgentSnapshot {
 		out[i] = trace.AgentSnapshot{ID: int(a.ID()), Bids: bids, Winner: winners, Bundle: bints}
 	}
 	return out
-}
-
-// canonKey computes the canonical state key: logical times replaced by
-// their dense rank — making the visited set a finite quotient of the
-// unbounded clock space — and the result hashed to 128 bits (collisions
-// are negligible at the state counts explored; see docs/PERFORMANCE.md
-// for the collision-behavior contract). The computation lives in
-// keyScratch.key, shared with the parallel frontier's per-worker
-// incremental hashing.
-func (c *checker) canonKey() [2]uint64 {
-	return c.keys.key(c.agents, c.net)
 }

@@ -169,3 +169,23 @@ func TestStoreStatsPopulated(t *testing.T) {
 		t.Fatalf("parallel store stats incomplete: %+v", p.Store)
 	}
 }
+
+// BenchmarkCanonicalKey measures one canonical key over a fixed set of
+// states captured from the ExploreSerial instance. Each state's agent
+// digests are cached after the first pass, as they are for every agent
+// but the receiver in the explorers, so the figure is dominated by the
+// time part and the network digest.
+func BenchmarkCanonicalKey(b *testing.B) {
+	states := captureKeyStates(512)
+	for _, s := range states {
+		s.keys.key(s.agents, s.net)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := states[i%len(states)]
+		benchKeySink = s.keys.key(s.agents, s.net)
+	}
+}
+
+var benchKeySink [2]uint64

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/mca"
@@ -14,20 +15,20 @@ import (
 //
 //   - a content part — everything except logical times — assembled by
 //     XOR from per-component digests: per-agent hashes cached against
-//     Agent.Rev (a delivery mutates one receiver, so at most one agent
-//     is re-digested per transition) and per-message hashes computed
-//     once at send time by the network (messages are immutable);
-//   - a time part — the dense rank of every logical timestamp in the
-//     state — which is irreducibly global (one new timestamp can shift
-//     every rank) but cheap: collect times from flat slices, sort a
-//     reused buffer, fold the per-slot ranks.
+//     Agent.Rev, and restored by the explorers when they roll a delivery
+//     back, so at most the receiver is re-digested per key; per-message
+//     hashes are computed once at send time (messages are immutable);
+//   - a time part — the dense rank of every logical timestamp — which
+//     is global (one new timestamp can shift every rank) but sort-free:
+//     one walk gathers the timestamp slots, a bitmap ranks them in O(1)
+//     each, and the ranks are folded packed (bitRanker).
 //
-// Full state re-serialization is gone from the hot path entirely. The
-// reference semantics live in referenceKey (the serializer form built
-// on AppendCanonical); SetCrosscheck arms a periodic self-check that
-// pins the incremental computation to it.
+// The reference semantics live in referenceKey (AppendCanonical over a
+// sorted universe); the crosscheck pins the incremental key to it.
+// Keys are hashes; docs/PERFORMANCE.md gives the collision contract.
 type keyScratch struct {
-	times []int
+	times []int // timestamp slots (-1 absent)
+	ranks bitRanker
 	buf   []byte // reference-serializer scratch
 	// Per-agent content-digest cache, validated by Agent.Rev.
 	agentHash [][2]uint64
@@ -68,21 +69,11 @@ var testKeyOverride func([2]uint64) [2]uint64
 
 // key computes the canonical state key with per-agent digest caching.
 func (ks *keyScratch) key(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
-	n := len(agents)
-	for len(ks.agentHash) < n {
-		ks.agentHash = append(ks.agentHash, [2]uint64{})
-		ks.agentRev = append(ks.agentRev, 0)
-	}
 	var c [2]uint64
 	for i, a := range agents {
-		// Rev starts at 1 and only grows, so a zeroed cache entry can
-		// never validate spuriously.
-		if ks.agentRev[i] != a.Rev() {
-			ks.agentHash[i] = a.ContentHash()
-			ks.agentRev[i] = a.Rev()
-		}
-		c[0] ^= ks.agentHash[i][0]
-		c[1] ^= ks.agentHash[i][1]
+		h := ks.digest(i, a)
+		c[0] ^= h[0]
+		c[1] ^= h[1]
 	}
 	k := ks.finish(c, agents, net)
 	if ks.interval > 0 {
@@ -97,18 +88,6 @@ func (ks *keyScratch) key(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
 	return k
 }
 
-// keyCold recomputes the key with no cached agent digests — the
-// crosscheck's cache-coherence oracle.
-func (ks *keyScratch) keyCold(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
-	var c [2]uint64
-	for _, a := range agents {
-		h := a.ContentHash()
-		c[0] ^= h[0]
-		c[1] ^= h[1]
-	}
-	return ks.finish(c, agents, net)
-}
-
 // finish folds the network content digest and the global time-rank part
 // into the combined content hash c.
 func (ks *keyScratch) finish(c [2]uint64, agents []*mca.Agent, net *netsim.Network) [2]uint64 {
@@ -116,50 +95,106 @@ func (ks *keyScratch) finish(c [2]uint64, agents []*mca.Agent, net *netsim.Netwo
 	c[0] ^= nh[0]
 	c[1] ^= nh[1]
 
-	r := mca.Ranker{Uniq: ks.rankUniverse(agents, net)}
 	n := len(agents)
-	t := [2]uint64{0x452821e638d01377, 0xbe5466cf34e90c6c}
-	for _, a := range agents {
-		t = a.FoldTimeRanks(t, r, n)
+	if ks.times == nil {
+		ks.times = make([]int, 0, 64) // a state holds a few dozen slots
 	}
-	t = net.FoldTimeRanks(t, r, n)
-	return mix128(c, t)
-}
-
-// rankUniverse collects, sorts, and deduplicates every logical time in
-// the state into a reused buffer. States carry a few dozen timestamps,
-// so a branch-light insertion sort beats the general sorter's dispatch
-// overhead on the common case.
-func (ks *keyScratch) rankUniverse(agents []*mca.Agent, net *netsim.Network) []int {
 	ks.times = ks.times[:0]
 	for _, a := range agents {
-		ks.times = a.AppendTimes(ks.times)
+		ks.times = a.AppendTimeSlots(ks.times, n)
 	}
-	ks.times = net.AppendTimes(ks.times)
-	if len(ks.times) <= 64 {
-		insertionSortInts(ks.times)
-	} else {
-		sort.Ints(ks.times)
-	}
-	uniq := ks.times[:0]
-	for i, t := range ks.times {
-		if i == 0 || t != uniq[len(uniq)-1] {
-			uniq = append(uniq, t)
-		}
-	}
-	return uniq
+	ks.times = net.AppendTimeSlots(ks.times, n)
+	ks.ranks.reset(ks.times)
+	return mix128(c, ks.ranks.fold([2]uint64{0x452821e638d01377, 0xbe5466cf34e90c6c}, ks.times))
 }
 
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
+// digest returns agent i's content digest, recomputed only if the
+// agent changed since it was cached (Rev starts at 1 and only grows).
+func (ks *keyScratch) digest(i int, a *mca.Agent) [2]uint64 {
+	for len(ks.agentHash) <= i {
+		ks.agentHash = append(ks.agentHash, [2]uint64{})
+		ks.agentRev = append(ks.agentRev, 0)
 	}
+	if ks.agentRev[i] != a.Rev() {
+		ks.agentHash[i] = a.ContentHash()
+		ks.agentRev[i] = a.Rev()
+	}
+	return ks.agentHash[i]
+}
+
+// restoreDigest reinstates h, agent i's digest before a delivery, once
+// the delivery is rolled back (RestoreState bumps Rev).
+func (ks *keyScratch) restoreDigest(i int, a *mca.Agent, h [2]uint64) {
+	ks.agentHash[i], ks.agentRev[i] = h, a.Rev()
+}
+
+// bitRanker ranks times without sorting: a bitmap of the present times,
+// each word with the count of times below it, so rank(t) is one
+// popcount. It is regrown per state to that state's largest time.
+type bitRanker struct {
+	words    []rankWord
+	distinct int
+}
+
+type rankWord struct {
+	bits  uint64
+	below int
+}
+
+// reset loads the present (non-negative) times of ts.
+func (r *bitRanker) reset(ts []int) {
+	r.words = r.words[:0]
+	for _, t := range ts {
+		if t < 0 {
+			continue
+		}
+		for len(r.words) <= t>>6 {
+			r.words = append(r.words, rankWord{})
+		}
+		r.words[t>>6].bits |= 1 << (uint(t) & 63)
+	}
+	r.distinct = 0
+	for i := range r.words {
+		r.words[i].below = r.distinct
+		r.distinct += bits.OnesCount64(r.words[i].bits)
+	}
+}
+
+func (r *bitRanker) rank(t int) int {
+	w := &r.words[t>>6]
+	return w.below + bits.OnesCount64(w.bits&(1<<(uint(t)&63)-1))
+}
+
+// fold folds 1+rank of every slot (0 if absent) into h, packed in
+// fieldWidth(distinct)-bit fields after the width and slot count.
+func (r *bitRanker) fold(h [2]uint64, slots []int) [2]uint64 {
+	width := fieldWidth(r.distinct)
+	h = mca.FoldHash(h, uint64(width)<<56|uint64(len(slots)))
+	var acc uint64
+	var shift uint
+	for _, t := range slots {
+		if t >= 0 {
+			acc |= uint64(1+r.rank(t)) << shift
+		}
+		if shift += width; shift == 64 {
+			h = mca.FoldHash(h, acc)
+			acc, shift = 0, 0
+		}
+	}
+	if shift != 0 {
+		h = mca.FoldHash(h, acc)
+	}
+	return h
+}
+
+// fieldWidth picks 16-bit fields below 65,535 distinct times, 32-bit
+// ones below 2^32-1 and whole words beyond, so no 1+rank is truncated.
+func fieldWidth(distinct int) uint {
+	w := uint(16)
+	for w < 64 && uint64(distinct) >= 1<<w-1 {
+		w *= 2
+	}
+	return w
 }
 
 // referenceKey is the serializer form of the canonical key: encode the
@@ -169,14 +204,23 @@ func insertionSortInts(a []int) {
 // is what the crosscheck and the key-equivalence fuzz test pin — and
 // survives as the slow-path oracle.
 func (ks *keyScratch) referenceKey(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
-	r := mca.Ranker{Uniq: ks.rankUniverse(agents, net)}
+	ks.times = ks.times[:0]
+	for _, a := range agents {
+		ks.times = a.AppendTimes(ks.times)
+	}
+	net.ForEachQueued(func(_ netsim.Edge, m mca.Message) {
+		ks.times = mca.AppendMessageTimes(ks.times, m)
+	})
+	sort.Ints(ks.times)
+	uniq := slices.Compact(ks.times)
+	rank := func(t int) int { return sort.SearchInts(uniq, t) }
 	n := len(agents)
 	ks.buf = ks.buf[:0]
 	for _, a := range agents {
-		ks.buf = a.AppendCanonical(ks.buf, r.Rank, n)
+		ks.buf = a.AppendCanonical(ks.buf, rank, n)
 	}
 	net.ForEachQueued(func(_ netsim.Edge, m mca.Message) {
-		ks.buf = mca.AppendMessageCanonical(ks.buf, m, r.Rank, n)
+		ks.buf = mca.AppendMessageCanonical(ks.buf, m, rank, n)
 	})
 	const (
 		offset1 = 14695981039346656037
@@ -199,7 +243,13 @@ func (ks *keyScratch) referenceKey(agents []*mca.Agent, net *netsim.Network) [2]
 // divergence between the incremental hasher and the reference
 // serializer, either of which would silently corrupt verification.
 func (ks *keyScratch) crosscheck(agents []*mca.Agent, net *netsim.Network, k [2]uint64) {
-	if cold := ks.keyCold(agents, net); cold != k {
+	var c [2]uint64
+	for _, a := range agents {
+		h := a.ContentHash()
+		c[0] ^= h[0]
+		c[1] ^= h[1]
+	}
+	if cold := ks.finish(c, agents, net); cold != k {
 		panic(fmt.Sprintf("explore: incremental key cache incoherent: cached %x, cold %x", k, cold))
 	}
 	ref := ks.referenceKey(agents, net)
@@ -215,13 +265,4 @@ func (ks *keyScratch) crosscheck(agents []*mca.Agent, net *netsim.Network, k [2]
 	}
 	ks.incToRef[k] = ref
 	ks.refToInc[ref] = k
-}
-
-// setCrosscheck arms (interval > 0) or disarms (0) the periodic
-// crosscheck on this scratch. Tests use it directly; the explorecheck
-// build tag arms every explorer by default via defaultCrosscheck.
-func (ks *keyScratch) setCrosscheck(interval uint64) {
-	ks.interval = interval
-	ks.incToRef = nil
-	ks.refToInc = nil
 }

@@ -1038,6 +1038,7 @@ func (w *shardWorker) processLevel(items []workItem, ps *pipeline, level int) (i
 				w.scratch.Capture(&w.snap, w.edgeBuf...)
 				receiver := w.replicas[e.To]
 				receiver.SaveStateInto(&w.saveSlot)
+				recvHash := w.keys.digest(int(e.To), receiver)
 				didChange := applyDelivery(w.replicas, w.scratch, e, consume)
 				key := w.keys.key(w.replicas, w.scratch)
 				w.edges.append(edgeRec{
@@ -1076,6 +1077,7 @@ func (w *shardWorker) processLevel(items []workItem, ps *pipeline, level int) (i
 				}
 				w.scratch.Rollback(&w.snap)
 				receiver.RestoreState(w.saveSlot)
+				w.keys.restoreDigest(int(e.To), receiver, recvHash)
 			}
 		}
 		w.recycle(it)

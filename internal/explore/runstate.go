@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,11 @@ import (
 // document is damaged, re-verify from scratch" from operational
 // errors.
 var ErrCorruptRunState = errors.New("corrupt run state")
+
+// ErrStaleRunState rejects a run state of an earlier format version:
+// its keys come from an older key function, which a resume cannot mix
+// with fresh ones. It wraps ErrCorruptRunState.
+var ErrStaleRunState = fmt.Errorf("run state written by an older key version, re-verify from scratch: %w", ErrCorruptRunState)
 
 // RunState is a serializable snapshot of a budget-capped CheckParallel
 // run: the exploration tree over every state processed so far, the
@@ -95,8 +101,9 @@ type RunEdge struct {
 	DidChange bool
 }
 
-// runStateMagic versions the binary run-state format.
-const runStateMagic = "MCARS1\n"
+// runStateMagic versions the binary run-state format; version 1 keys
+// predate the current key function (ErrStaleRunState).
+const runStateMagic, runStateMagicV1 = "MCARS2\n", "MCARS1\n"
 
 // EncodeRunState renders a run state in its compact binary format
 // (fixed-width canonical keys, varint-packed tree and counters,
@@ -239,7 +246,10 @@ func (r *runStateReader) count(min int) int {
 // DecodeRunState parses a binary run-state document, validating its
 // structure (magic, bounds, index ranges, tree shape) strictly.
 func DecodeRunState(data []byte) (*RunState, error) {
-	if len(data) < len(runStateMagic) || string(data[:len(runStateMagic)]) != runStateMagic {
+	if bytes.HasPrefix(data, []byte(runStateMagicV1)) {
+		return nil, fmt.Errorf("explore: run state: %w", ErrStaleRunState)
+	}
+	if !bytes.HasPrefix(data, []byte(runStateMagic)) {
 		return nil, fmt.Errorf("explore: run state: bad magic (not a run-state document): %w", ErrCorruptRunState)
 	}
 	r := &runStateReader{buf: data, pos: len(runStateMagic)}

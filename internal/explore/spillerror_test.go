@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -118,5 +119,26 @@ func TestDecodeRunStateErrorIsTyped(t *testing.T) {
 		if _, err := DecodeRunState(bad); err != nil && !errors.Is(err, ErrCorruptRunState) {
 			t.Fatalf("flip at %d: untyped error %v", i, err)
 		}
+	}
+}
+
+// TestDecodeRunStateRejectsV1: a version-1 document carries keys from
+// the older key function. It is refused with ErrStaleRunState, which
+// callers also match as ErrCorruptRunState, and the message says to
+// re-verify.
+func TestDecodeRunStateRejectsV1(t *testing.T) {
+	t.Parallel()
+	_, rs := cappedState(t, line3Agents, graph.Line(3), Options{MaxStates: 100}, 2)
+	enc := EncodeRunState(rs)
+	v1 := append([]byte(runStateMagicV1), enc[len(runStateMagic):]...)
+	_, err := DecodeRunState(v1)
+	if !errors.Is(err, ErrStaleRunState) || !errors.Is(err, ErrCorruptRunState) {
+		t.Fatalf("v1 document: error %v, want ErrStaleRunState wrapping ErrCorruptRunState", err)
+	}
+	if !strings.Contains(err.Error(), "re-verify") {
+		t.Fatalf("v1 document: error %q lacks the re-verify hint", err)
+	}
+	if _, err := DecodeRunState(enc); err != nil {
+		t.Fatalf("current document rejected: %v", err)
 	}
 }

@@ -1,9 +1,6 @@
 package mca
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // appendVarint appends a zig-zag-free signed int encoding (values here
 // are small and non-negative after ranking; negative ids use a bias).
@@ -20,7 +17,7 @@ func appendVarint(buf []byte, v int64) []byte {
 // agent state with every timestamp passed through rank, for a system of
 // n agents (the information-timestamp vector is encoded as n fixed
 // slots). This is the reference serializer for the explorer's canonical
-// keys: the incremental hasher (ContentHash + FoldTimeRanks) must
+// keys: the incremental hasher (ContentHash + AppendTimeSlots) must
 // distinguish exactly the states this encoding distinguishes, and the
 // explore package pins that equivalence with a cross-check flag and a
 // fuzz test.
@@ -259,19 +256,38 @@ func AppendMessageTimes(ts []int, m Message) []int {
 	return ts
 }
 
-// Ranker maps absolute logical times to their dense rank in a state's
-// deduplicated sorted time universe — the canonical quotient of the
-// explorers' state keys. The concrete struct (instead of a closure)
-// keeps the per-slot calls on the key hot path allocation-free and
-// inlinable.
-type Ranker struct {
-	// Uniq is the sorted, deduplicated list of every timestamp occurring
-	// in the state (AppendTimes / AppendMessageTimes output).
-	Uniq []int
+// AppendTimeSlots appends the agent's timestamp slots to ts in the
+// canonical key's fixed order, for n agents: view, block (blocked or
+// not, as in AppendTimes; an unblocked entry holds time 0), clock, then
+// n information times with -1 for an absent one.
+func (a *Agent) AppendTimeSlots(ts []int, n int) []int {
+	for _, bi := range a.view {
+		ts = append(ts, bi.Time)
+	}
+	for _, bi := range a.block {
+		ts = append(ts, bi.Time)
+	}
+	return appendInfoSlots(append(ts, a.clock), a.infoTime, n)
 }
 
-// Rank returns the dense rank of t.
-func (r Ranker) Rank(t int) int { return sort.SearchInts(r.Uniq, t) }
+// AppendMessageTimeSlots is AppendTimeSlots for a message.
+func AppendMessageTimeSlots(ts []int, m Message, n int) []int {
+	for _, bi := range m.View {
+		ts = append(ts, bi.Time)
+	}
+	return appendInfoSlots(ts, m.InfoTimes, n)
+}
+
+func appendInfoSlots(ts, info []int, n int) []int {
+	for k := 0; k < n; k++ {
+		t := infoAt(info, AgentID(k))
+		if t == 0 {
+			t = -1 // absent
+		}
+		ts = append(ts, t)
+	}
+	return ts
+}
 
 // Canonical-key hashing: 128 bits as two independently seeded 64-bit
 // lanes, folded one word at a time. Agent and message content hashes
@@ -292,9 +308,9 @@ func FoldHash(h [2]uint64, v uint64) [2]uint64 {
 
 // ContentHash digests the agent's timestamp-free content: identity,
 // view bids and winners, bundle, and outbid bookkeeping. Together with
-// FoldTimeRanks this carries exactly the information AppendCanonical
-// serializes, split so the explorers can cache it per agent (validated
-// by Rev) and recompute only the delivery's receiver.
+// the ranked AppendTimeSlots this carries exactly the information
+// AppendCanonical serializes, split so the explorers can cache it per
+// agent (validated by Rev) and recompute only the delivery's receiver.
 func (a *Agent) ContentHash() [2]uint64 {
 	h := [2]uint64{uint64(a.id) + 1, ^uint64(a.id)}
 	for _, bi := range a.view {
@@ -329,48 +345,6 @@ func MessageContentHash(m Message) [2]uint64 {
 	for _, bi := range m.View {
 		h = FoldHash(h, uint64(bi.Bid))
 		h = FoldHash(h, uint64(bi.Winner))
-	}
-	return h
-}
-
-// FoldTimeRanks folds the agent's timestamp slots, ranked by r, into h
-// in a fixed slot order, for a system of n agents. Presence-marking
-// slots (block entries, information times) fold 0 when absent and
-// 1+rank when present, mirroring AppendCanonical.
-func (a *Agent) FoldTimeRanks(h [2]uint64, r Ranker, n int) [2]uint64 {
-	for _, bi := range a.view {
-		h = FoldHash(h, uint64(r.Rank(bi.Time)))
-	}
-	for j, bl := range a.blocked {
-		if bl {
-			h = FoldHash(h, uint64(1+r.Rank(a.block[j].Time)))
-		} else {
-			h = FoldHash(h, 0)
-		}
-	}
-	h = FoldHash(h, uint64(r.Rank(a.clock)))
-	for k := 0; k < n; k++ {
-		if t := infoAt(a.infoTime, AgentID(k)); t != 0 {
-			h = FoldHash(h, uint64(1+r.Rank(t)))
-		} else {
-			h = FoldHash(h, 0)
-		}
-	}
-	return h
-}
-
-// FoldMessageTimeRanks folds a message's timestamp slots, ranked by r,
-// into h in a fixed slot order, for a system of n agents.
-func FoldMessageTimeRanks(h [2]uint64, m Message, r Ranker, n int) [2]uint64 {
-	for _, bi := range m.View {
-		h = FoldHash(h, uint64(r.Rank(bi.Time)))
-	}
-	for k := 0; k < n; k++ {
-		if t := infoAt(m.InfoTimes, AgentID(k)); t != 0 {
-			h = FoldHash(h, uint64(1+r.Rank(t)))
-		} else {
-			h = FoldHash(h, 0)
-		}
 	}
 	return h
 }

@@ -252,10 +252,10 @@ func (n *Network) ForEachQueued(f func(e Edge, m mca.Message)) {
 
 // ContentHash folds the timestamp-free content of every queued message
 // — edge identity, queue position, and the per-cell digests cached at
-// send time — into one 128-bit digest. Together with FoldTimeRanks it
-// carries exactly the queue information the reference serializer
-// encodes, at the cost of a few cached-word folds per in-flight
-// message.
+// send time — into one 128-bit digest. Together with the ranked
+// AppendTimeSlots it carries exactly the queue information the
+// reference serializer encodes, at the cost of a few cached-word folds
+// per in-flight message.
 func (n *Network) ContentHash() [2]uint64 {
 	h := [2]uint64{0x243f6a8885a308d3, 0x13198a2e03707344}
 	for i, q := range n.queues {
@@ -271,31 +271,16 @@ func (n *Network) ContentHash() [2]uint64 {
 	return h
 }
 
-// AppendTimes appends every timestamp occurring in queued messages to
-// ts, for the explorers' dense time ranking.
-func (n *Network) AppendTimes(ts []int) []int {
+// AppendTimeSlots appends the timestamp slots of every queued message
+// to ts, in the same deterministic order as ContentHash, for a system
+// of nAgents agents (see mca.AppendMessageTimeSlots).
+func (n *Network) AppendTimeSlots(ts []int, nAgents int) []int {
 	for _, q := range n.queues {
 		for _, c := range q {
-			ts = mca.AppendMessageTimes(ts, c.msg)
+			ts = mca.AppendMessageTimeSlots(ts, c.msg, nAgents)
 		}
 	}
 	return ts
-}
-
-// FoldTimeRanks folds the ranked timestamp slots of every queued
-// message into h, in the same deterministic order as ContentHash, for a
-// system of nAgents agents.
-func (n *Network) FoldTimeRanks(h [2]uint64, r mca.Ranker, nAgents int) [2]uint64 {
-	for i, q := range n.queues {
-		if len(q) == 0 {
-			continue
-		}
-		h = mca.FoldHash(h, uint64(i))
-		for _, c := range q {
-			h = mca.FoldMessageTimeRanks(h, c.msg, r, nAgents)
-		}
-	}
-	return h
 }
 
 // Clone copies the network (used by the exhaustive explorers). Queue

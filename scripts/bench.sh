@@ -14,7 +14,10 @@
 #                                  # the newest committed BENCH_*.json; writes nothing
 #
 # Environment:
-#   BENCH_OUT         output file for the full run (default BENCH_9.json)
+#   BENCH_OUT         output file for the full run (default BENCH_13.json)
+#   BENCH_PARENT      a record of the parent commit made by this script on
+#                     the same machine just before; embedded as "parent"
+#                     for a before/after pair from one machine
 #   BENCH_ALLOW_1CPU  set to 1 to run anyway on a single-core machine;
 #                     the record is then stamped scaling_valid=false
 set -eu
@@ -60,11 +63,11 @@ if [ "$cores" -le 1 ]; then
     echo "bench.sh: WARNING: single-core run; record will carry scaling_valid=false" >&2
 fi
 
-out_file="${BENCH_OUT:-BENCH_9.json}"
+out_file="${BENCH_OUT:-BENCH_13.json}"
 # Fixed parameters: -benchtime 2x amortizes per-run setup without
 # letting a noisy sample dominate; -count 3 lets benchjson keep the
 # fastest (least-interfered) sample.
 go test -run '^$' -bench "$BENCHES" -benchmem -benchtime 2x -count 3 . |
     tee /dev/stderr |
-    go run ./scripts/benchjson >"$out_file"
+    go run ./scripts/benchjson ${BENCH_PARENT:+-parent "$BENCH_PARENT"} >"$out_file"
 echo "wrote $out_file"

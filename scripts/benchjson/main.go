@@ -6,12 +6,17 @@
 // least-interference sample is the most reproducible point of a noisy
 // machine.
 //
-// Usage: go test -run '^$' -bench ... -benchmem . | go run ./scripts/benchjson
+// Usage: go test -run '^$' -bench ... -benchmem . | go run ./scripts/benchjson [-parent FILE]
+//
+// -parent embeds the benchmarks of an earlier record (the parent
+// commit's, measured on the same machine just before) as "parent", so
+// one file carries a before/after pair from one machine.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"regexp"
@@ -51,12 +56,17 @@ type File struct {
 	// compared against multi-core baselines.
 	ScalingValid bool              `json:"scaling_valid"`
 	Benchmarks   map[string]Record `json:"benchmarks"`
+	// Parent holds the same set measured on the parent commit on the
+	// same machine just before, when -parent was given.
+	Parent map[string]Record `json:"parent,omitempty"`
 }
 
 var lineRE = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$`)
 var pairRE = regexp.MustCompile(`([\d.]+) (\S+)`)
 
 func main() {
+	parent := flag.String("parent", "", "record of the parent commit to embed as \"parent\"")
+	flag.Parse()
 	out := File{
 		Note:         "Benchmark trajectory, written by scripts/bench.sh; lowest-ns/op sample per benchmark. Compare against docs/PERFORMANCE.md.",
 		ScalingValid: runtime.NumCPU() > 1,
@@ -122,6 +132,18 @@ func main() {
 	if len(out.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
+	}
+	if *parent != "" {
+		data, err := os.ReadFile(*parent)
+		var p File
+		if err == nil {
+			err = json.Unmarshal(data, &p)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson: -parent:", err)
+			os.Exit(1)
+		}
+		out.Parent = p.Benchmarks
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
